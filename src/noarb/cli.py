@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 
 from . import io_json
 from .generators import (
@@ -53,7 +54,7 @@ from .parity import (
     transformed_parity_factor,
     verify_parity,
 )
-from .rational import format_rational, parse_rational
+from .rational import DigitLimitError, format_rational, parse_rational
 from .symmetry import (
     SymmetryError,
     apply_transform,
@@ -76,6 +77,25 @@ def _read(path: str) -> str:
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+@contextmanager
+def _writing(document: str):
+    # a rational past Python's int/str digit limit makes a document
+    # unwritable: bad input, reported with the document's name
+    try:
+        yield
+    except DigitLimitError as e:
+        raise DocumentError(f"cannot write {document}: {e}") from None
+
+
+def _write_market(ts, path, out):
+    with _writing(f"the market document {path}" if path else "the market document"):
+        text = io_json.serialize_market(ts)
+    if path:
+        _write(path, text)
+    else:
+        out.write(text)
 
 
 def _load_market(path: str):
@@ -128,14 +148,14 @@ def cmd_transform(args, out) -> int:
            "_t0": time.perf_counter()}
     rank = image_rank(t)
     doc["image_rank"] = rank
-    doc["rank_warning"] = rank < 3
+    doc["rank_warning"] = rank < t.src_width
     try:
         image = apply_transform(t, ts)
     except SymmetryError as e:
         out.write(f"transform failed: {e}\n")
         return FAIL
     if args.output:
-        _write(args.output, io_json.serialize_market(image))
+        _write_market(image, args.output, out)
     if args.verify:
         report = verify_symmetry_on_market(t, ts)
         doc["verified"] = report.ok
@@ -201,11 +221,7 @@ def cmd_generate(args, out) -> int:
         out.write(f"generation failed its own verdict check: expected {want}, "
                   f"classifier says {got}\n")
         return FAIL
-    text = io_json.serialize_market(ts)
-    if args.output:
-        _write(args.output, text)
-    else:
-        out.write(text)
+    _write_market(ts, args.output, out)
     return OK
 
 
@@ -253,16 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
+    report = getattr(args, "report", None)
     try:
-        if args.command == "check":
-            return cmd_check(args, out)
-        if args.command == "transform":
-            return cmd_transform(args, out)
-        if args.command == "parity":
-            if not args.demo and not args.spec:
-                raise DocumentError("parity needs a spec path or --demo")
-            return cmd_parity(args, out)
-        return cmd_generate(args, out)
+        # every rational written outside _write_market goes into the report
+        with _writing(f"the report {report}" if report else "the report"):
+            if args.command == "check":
+                return cmd_check(args, out)
+            if args.command == "transform":
+                return cmd_transform(args, out)
+            if args.command == "parity":
+                if not args.demo and not args.spec:
+                    raise DocumentError("parity needs a spec path or --demo")
+                return cmd_parity(args, out)
+            return cmd_generate(args, out)
     except (DocumentError, MarketError, ParityError) as e:
         sys.stderr.write(f"error: {e}\n")
         return BAD_INPUT

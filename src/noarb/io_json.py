@@ -357,8 +357,9 @@ def report_to_text(doc: dict) -> str:
             f"holding ({', '.join(a['holding'])}), "
             f"strict on {a['strict_trajectory']}")
     if doc.get("rank_warning"):
-        lines.append(f"warning: image rank {doc['image_rank']} < 3, the image "
-                     f"lies in a plane; preservation theorems do not apply")
+        lines.append(f"warning: image rank {doc['image_rank']} is below the "
+                     f"transform's width, the image lies in a proper subspace; "
+                     f"preservation theorems do not apply")
     if "parity" in doc:
         p = doc["parity"]
         lines.append(f"parity holds: {p['holds']} (strike {p['strike']})")

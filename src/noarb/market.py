@@ -13,6 +13,14 @@ tags. The set conditioned at a node collects the trajectories that pass
 through it and are still alive (horizon > k); under the stopping-time
 property this is the whole prefix class.
 
+Each TrajectorySet builds its node tree once, on first use, in one pass
+over the price points: every stored stage of every trajectory gets the id
+of its prefix class, and each node keeps its stage, its first trajectory,
+its prefix key and, lazily, its relative price. Node lookups, validation
+and portfolio walks read the tree, so work outside the LPs grows linearly
+with the market. The stopping-time check is one pass too: a trajectory
+that ends at a node clashes with every longer-lived trajectory through it.
+
 Relative prices are taken through the perspective map x = (s_j / s_nu),
 j != nu. Per-node no-arbitrage is a convex-geometric statement about the
 one-step increment set Delta = {X(S_{k+1}) - X(S_k)}:
@@ -29,7 +37,10 @@ Portfolios are node-keyed holding vectors plus a per-trajectory liquidation
 stage and an initial relative value; the bank (numeraire) component is not
 stored, being determined by self-financing. An explicit per-stage form with
 a stored bank component exists so that the self-financing check has
-something nontrivial to refuse.
+something nontrivial to refuse. Self-financing is checked once per node
+and liquidation stage, and terminal gains come from one walk down the
+tree: the gain at a node is its parent's plus the parent's holding times
+the step in relative prices.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .certcheck import check_hull_certificate, check_separation
 from .geometry import (
@@ -72,18 +84,6 @@ def perspective(s, nu: int):
     if s[nu] <= 0:
         raise MarketError(f"non-positive numeraire coordinate {s[nu]}")
     return tuple(s[j] / s[nu] for j in range(len(s)) if j != nu)
-
-
-def _relative(t: Trajectory, nu: int) -> tuple:
-    # perspective view of every stage; memoized per trajectory and numeraire
-    cache = t.__dict__.get("_rel")
-    if cache is None:
-        cache = {}
-        object.__setattr__(t, "_rel", cache)
-    xs = cache.get(nu)
-    if xs is None:
-        xs = cache[nu] = tuple(perspective(pt, nu) for pt in t.prices)
-    return xs
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,83 @@ class TrajectorySet:
         if t is None:
             raise MarketError(f"unknown trajectory {tid!r}")
         return t
+
+    @cached_property
+    def tree(self) -> NodeTree:
+        """The prefix classes of every stored stage, built on first use."""
+        return NodeTree(self.trajectories, self.numeraire)
+
+
+class NodeTree:
+    """Prefix classes of a trajectory set, numbered by first appearance.
+
+    paths[i][k] is the node of trajectory i at stage k, for every stored
+    stage. A horizon beyond the stored stages (an invalid market) repeats
+    the last node, the class of the truncated prefix such a stage names.
+    Parents are numbered before their children, and a node's parent is the
+    previous entry of any path through it.
+    """
+
+    def __init__(self, trajectories: tuple, numeraire: int):
+        self._trajectories = trajectories
+        self._numeraire = numeraire
+        self.stage = []  # node -> k
+        self.first = []  # node -> index of the first trajectory through it
+        self.row = {}  # trajectory id -> index, the last one on duplicates
+        children = []  # node -> {(price point, tag): child}
+        roots = {}
+        paths = []
+        for i, t in enumerate(trajectories):
+            self.row[t.id] = i
+            path = []
+            level = roots
+            for k, point in enumerate(t.prices):
+                step = (point, t.tags[k] if k < len(t.tags) else None)
+                v = level.get(step)
+                if v is None:
+                    v = level[step] = len(self.stage)
+                    self.stage.append(k)
+                    self.first.append(i)
+                    children.append({})
+                path.append(v)
+                level = children[v]
+            if path and isinstance(t.horizon, int) and t.horizon >= len(path):
+                path += [path[-1]] * (t.horizon + 1 - len(path))
+            paths.append(tuple(path))
+        self.paths = tuple(paths)
+        self._keys = [None] * len(self.stage)
+        self._x = [None] * len(self.stage)
+
+    def key(self, v: int) -> tuple:
+        """The node's stage-0..k prices and tags, the value node_key gives."""
+        key = self._keys[v]
+        if key is None:
+            t = self._trajectories[self.first[v]]
+            k = self.stage[v]
+            key = self._keys[v] = (t.prices[:k + 1], t.tags[:k + 1])
+        return key
+
+    def x(self, v: int) -> tuple:
+        """Relative price at the node, through the market's numeraire."""
+        x = self._x[v]
+        if x is None:
+            t = self._trajectories[self.first[v]]
+            x = self._x[v] = perspective(t.prices[self.stage[v]], self._numeraire)
+        return x
+
+    @cached_property
+    def index(self) -> dict:
+        """Prefix key -> node, for resolving portfolio holdings."""
+        return {self.key(v): v for v in range(len(self.stage))}
+
+    @cached_property
+    def members(self) -> list:
+        """Node -> indices of the trajectories through it, in input order."""
+        out = [[] for _ in self.stage]
+        for i, t in enumerate(self._trajectories):
+            for v in self.paths[i][:len(t.prices)]:
+                out[v].append(i)
+        return out
 
 
 @dataclass(frozen=True)
@@ -208,16 +285,24 @@ def validate(ts: TrajectorySet) -> tuple:
             bad("initial-tag", t.id, 0, "stage-0 tag differs from w0")
     if out:
         return tuple(out)
-    # stopping time: agreement through the shorter horizon forces equality
-    for i, a in enumerate(ts.trajectories):
-        for b in ts.trajectories[i + 1:]:
-            m = min(a.horizon, b.horizon)
-            if (a.prices[:m + 1] == b.prices[:m + 1]
-                    and a.tags[:m + 1] == b.tags[:m + 1]
-                    and a.horizon != b.horizon):
-                bad("stopping-time", b.id, m,
-                    f"agrees with {a.id} through stage {m} but horizons "
-                    f"{b.horizon} != {a.horizon}")
+    # stopping time: agreement through the shorter horizon forces equality,
+    # so a trajectory ending at node v clashes with every trajectory that
+    # passes v alive; pairs are reported in input order
+    trajectories = ts.trajectories
+    paths = ts.tree.paths
+    ends = {}
+    for i, t in enumerate(trajectories):
+        ends.setdefault(paths[i][t.horizon], []).append(i)
+    pairs = []
+    for j, t in enumerate(trajectories):
+        for v in paths[j][:t.horizon]:
+            pairs.extend((min(i, j), max(i, j)) for i in ends.get(v, ()))
+    for i, j in sorted(pairs):
+        a, b = trajectories[i], trajectories[j]
+        m = min(a.horizon, b.horizon)
+        bad("stopping-time", b.id, m,
+            f"agrees with {a.id} through stage {m} but horizons "
+            f"{b.horizon} != {a.horizon}")
     return tuple(out)
 
 
@@ -227,84 +312,64 @@ def require_valid(ts: TrajectorySet):
         raise MarketError("invalid trajectory set: " + "; ".join(str(v) for v in report))
 
 
-class _PrefixKey(tuple):
-    # rational hashes need a modular inverse each time; cache the result
-    def __hash__(self):
-        try:
-            return self._h
-        except AttributeError:
-            h = self._h = tuple.__hash__(self)
-            return h
+def _path(ts: TrajectorySet, t: Trajectory) -> tuple:
+    # node ids along a member trajectory, one per stored stage
+    tree = ts.tree
+    i = tree.row.get(t.id)
+    if i is None:
+        raise MarketError(f"unknown trajectory {t.id!r}")
+    return tree.paths[i]
 
 
-def _prefix(t: Trajectory, k: int):
-    # pure function of the immutable trajectory; memoized per instance
-    cache = t.__dict__.get("_prefixes")
-    if cache is None:
-        cache = {}
-        object.__setattr__(t, "_prefixes", cache)
-    key = cache.get(k)
-    if key is None:
-        key = cache[k] = _PrefixKey((t.prices[:k + 1], t.tags[:k + 1]))
-    return key
-
-
-def node_key(ts: TrajectorySet, node: Node):
-    """Canonical identity of a node: its full stage-0..k prefix."""
+def _node_id(ts: TrajectorySet, node: Node) -> int:
     t = ts.trajectory(node.trajectory_id)
     k = node.stage
     if not 0 <= k < t.horizon:
         raise MarketError(
             f"stage {k} is not a node of {t.id!r} (horizon {t.horizon})")
-    return _prefix(t, k)
+    return _path(ts, t)[k]
 
 
-def _prefix_map(ts: TrajectorySet) -> dict:
-    # prefix key -> ids of the trajectories carrying it, in input order;
-    # pure function of the immutable set, memoized per instance
-    m = ts.__dict__.get("_pmap")
-    if m is None:
-        m = {}
-        for t in ts.trajectories:
-            for k in range(len(t.prices)):
-                m.setdefault(_prefix(t, k), []).append(t.id)
-        object.__setattr__(ts, "_pmap", m)
-    return m
+def node_key(ts: TrajectorySet, node: Node):
+    """Canonical identity of a node: its full stage-0..k prefix."""
+    return ts.tree.key(_node_id(ts, node))
+
+
+def _alive(ts: TrajectorySet, v: int, k: int):
+    # (index, trajectory) of the members of node v, at stage k, still alive
+    trajectories = ts.trajectories
+    for i in ts.tree.members[v]:
+        t = trajectories[i]
+        if t.horizon > k:
+            yield i, t
 
 
 def conditioned_set(ts: TrajectorySet, node: Node) -> tuple:
     """Ids of trajectories matching the node's prefix and still alive."""
-    key = node_key(ts, node)
-    k = node.stage
-    return tuple(
-        tid for tid in _prefix_map(ts).get(key, ())
-        if ts.trajectory(tid).horizon > k
-    )
+    return tuple(t.id for _, t in _alive(ts, _node_id(ts, node), node.stage))
 
 
 def enumerate_nodes(ts: TrajectorySet) -> tuple:
     """All nodes, stage-major, first-trajectory representatives."""
     out = []
+    paths = ts.tree.paths
     horizon = max((t.horizon for t in ts.trajectories), default=0)
     for k in range(horizon):
         seen = set()
-        for t in ts.trajectories:
-            if t.horizon > k:
-                key = _prefix(t, k)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Node(t.id, k))
+        for t, path in zip(ts.trajectories, paths):
+            if t.horizon > k and path[k] not in seen:
+                seen.add(path[k])
+                out.append(Node(t.id, k))
     return tuple(out)
 
 
 def reachable_prices(ts: TrajectorySet, node: Node) -> tuple:
     """Stage-(k+1) price points over the conditioned set, deduplicated."""
-    ids = conditioned_set(ts, node)
     k = node.stage
     out = []
     seen = set()
-    for tid in ids:
-        p = ts.trajectory(tid).prices[k + 1]
+    for _, t in _alive(ts, _node_id(ts, node), k):
+        p = t.prices[k + 1]
         if p not in seen:
             seen.add(p)
             out.append(p)
@@ -318,17 +383,21 @@ def increment_set(ts: TrajectorySet, node: Node) -> PointSet:
     {X(successor) - X(here)} in first-occurrence order; that order is also
     the order used when certificates are serialized.
     """
-    ids = conditioned_set(ts, node)
+    tree = ts.tree
+    v = _node_id(ts, node)
     k = node.stage
-    here = _relative(ts.trajectory(ids[0]), ts.numeraire)[k]
+    here = tree.x(v)
     out = []
     seen = set()
-    for tid in ids:
-        nxt = _relative(ts.trajectory(tid), ts.numeraire)[k + 1]
-        d = vsub(nxt, here)
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
+    children = set()
+    for i, _ in _alive(ts, v, k):
+        child = tree.paths[i][k + 1]
+        if child not in children:
+            children.add(child)
+            d = vsub(tree.x(child), here)
+            if d not in seen:
+                seen.add(d)
+                out.append(d)
     return PointSet(ts.dim, tuple(out))
 
 
@@ -352,9 +421,7 @@ def classify_node(ts: TrajectorySet, node: Node) -> NodeVerdict:
     ri_cert = relative_interior_membership(inc, origin)
 
     # second route: reachable relative prices tested at the current price
-    k = node.stage
-    rep = ts.trajectory(conditioned_set(ts, node)[0])
-    here = _relative(rep, ts.numeraire)[k]
+    here = ts.tree.x(_node_id(ts, node))
     reach = PointSet(ts.dim, tuple(
         perspective(p, ts.numeraire) for p in reachable_prices(ts, node)))
     if (relative_interior_membership(reach, here) is not None) != (ri_cert is not None):
@@ -472,16 +539,20 @@ def holding_at(ts: TrajectorySet, p: Portfolio, t: Trajectory, k: int):
     """Effective holding vector on trajectory t at stage k."""
     if k >= _stop(p, t):
         return zero_vec(ts.dim)
-    h = p.holdings.get(_prefix(t, k))
+    h = p.holdings.get(ts.tree.key(_path(ts, t)[k]))
     if h is None:
         raise MarketError(f"holdings missing at node ({t.id!r}, {k})")
     return h
 
 
-def validate_portfolio(ts: TrajectorySet, p: Portfolio) -> tuple:
-    """Structural violations: coverage, dimensions, liquidation coherence."""
+def _portfolio_report(ts: TrajectorySet, p: Portfolio) -> tuple:
+    # validate_portfolio's violations, plus node -> holding for the holdings
+    # keyed by a node of the market; each holdings key is hashed once
+    tree = ts.tree
+    located = [(h, tree.index.get(key)) for key, h in p.holdings.items()]
+    held = {v: h for h, v in located if v is not None}
     out = []
-    for t in ts.trajectories:
+    for t, path in zip(ts.trajectories, tree.paths):
         n = p.liquidation.get(t.id)
         if n is None:
             out.append(Violation("liquidation", t.id, None, "no liquidation stage"))
@@ -491,24 +562,28 @@ def validate_portfolio(ts: TrajectorySet, p: Portfolio) -> tuple:
                                  f"liquidation stage {n!r} is not a stage"))
             continue
         for k in range(min(n, t.horizon)):
-            if _prefix(t, k) not in p.holdings:
+            if path[k] not in held:
                 out.append(Violation("coverage", t.id, k, "holdings missing at node"))
-    for key, h in p.holdings.items():
+    for h, v in located:
         if len(h) != ts.dim:
             out.append(Violation("holding-width", None, None,
                                  f"holding vector of length {len(h)}, expected {ts.dim}"))
             continue
-        if all(c == 0 for c in h):
+        if v is None or all(c == 0 for c in h):
             continue
-        k = len(key[0]) - 1
-        for tid in _prefix_map(ts).get(key, ()):
-            if ts.trajectory(tid).horizon > k:
-                n = p.liquidation.get(tid)
-                if isinstance(n, int) and n <= k:
-                    out.append(Violation(
-                        "liquidated-holding", tid, k,
-                        "nonzero holding at a node past this trajectory's liquidation"))
-    return tuple(out)
+        k = tree.stage[v]
+        for _, t in _alive(ts, v, k):
+            n = p.liquidation.get(t.id)
+            if isinstance(n, int) and n <= k:
+                out.append(Violation(
+                    "liquidated-holding", t.id, k,
+                    "nonzero holding at a node past this trajectory's liquidation"))
+    return tuple(out), held
+
+
+def validate_portfolio(ts: TrajectorySet, p: Portfolio) -> tuple:
+    """Structural violations: coverage, dimensions, liquidation coherence."""
+    return _portfolio_report(ts, p)[0]
 
 
 def require_valid_portfolio(ts: TrajectorySet, p: Portfolio):
@@ -521,13 +596,18 @@ def null_portfolio(ts: TrajectorySet, v0=0) -> Portfolio:
     return Portfolio(as_fraction(v0), {}, {t.id: 0 for t in ts.trajectories})
 
 
+def _nodes_before(ts: TrajectorySet, stops) -> dict:
+    # the nodes before each trajectory's stop, in first-occurrence order, as
+    # the keys of a dict
+    return dict.fromkeys(
+        v for path, stop in zip(ts.tree.paths, stops) for v in path[:stop])
+
+
 def constant_portfolio(ts: TrajectorySet, h, v0=0) -> Portfolio:
     """Hold h at every node until each trajectory's horizon."""
     h = vec(h)
-    holdings = {}
-    for t in ts.trajectories:
-        for k in range(t.horizon):
-            holdings[_prefix(t, k)] = h
+    key = ts.tree.key
+    holdings = {key(v): h for v in _nodes_before(ts, (t.horizon for t in ts.trajectories))}
     return Portfolio(as_fraction(v0), holdings, {t.id: t.horizon for t in ts.trajectories})
 
 
@@ -546,9 +626,8 @@ def restricted_portfolio(ts: TrajectorySet, node: Node, xi, v0=0) -> Portfolio:
     k = node.stage
     zero = zero_vec(ts.dim)
     holdings = {key: xi}
-    for t in ts.trajectories:
-        for j in range(min(k + 1, t.horizon)):
-            holdings.setdefault(_prefix(t, j), zero)
+    for v in _nodes_before(ts, (min(k + 1, t.horizon) for t in ts.trajectories)):
+        holdings.setdefault(ts.tree.key(v), zero)
     return Portfolio(as_fraction(v0), holdings, {t.id: k + 1 for t in ts.trajectories})
 
 
@@ -562,7 +641,7 @@ def sum_portfolios(ts: TrajectorySet, a: Portfolio, b: Portfolio) -> Portfolio:
         t = ts.trajectory(node.trajectory_id)
         k = node.stage
         if k < min(liquidation[t.id], t.horizon):
-            holdings[_prefix(t, k)] = vadd(
+            holdings[node_key(ts, node)] = vadd(
                 holding_at(ts, a, t, k), holding_at(ts, b, t, k))
     return Portfolio(a.v0 + b.v0, holdings, liquidation)
 
@@ -571,13 +650,19 @@ def _trajectory(ts: TrajectorySet, s) -> Trajectory:
     return s if isinstance(s, Trajectory) else ts.trajectory(s)
 
 
+def _relative_prices(ts: TrajectorySet, t: Trajectory) -> list:
+    # relative price at every stored stage of a member trajectory
+    x = ts.tree.x
+    return [x(v) for v in _path(ts, t)[:len(t.prices)]]
+
+
 def gains(ts: TrajectorySet, p: Portfolio, s, k: int) -> Fraction:
     """Accumulated gains sum(H_i . (X_{i+1} - X_i), i < k), exact."""
     t = _trajectory(ts, s)
     if not 0 <= k <= len(t.prices) - 1:
         raise MarketError(f"stage {k} out of range for {t.id!r}")
     total = _ZERO
-    xs = _relative(t, ts.numeraire)
+    xs = _relative_prices(ts, t)
     for i in range(k):
         h = holding_at(ts, p, t, i)
         total += dot(h, vsub(xs[i + 1], xs[i]))
@@ -591,7 +676,7 @@ def reconstruct_bank_component(ts: TrajectorySet, p: Portfolio, s) -> tuple:
     H0_k - H0_{k-1} = -(H_k - H_{k-1}) . X_k.
     """
     t = _trajectory(ts, s)
-    xs = _relative(t, ts.numeraire)
+    xs = _relative_prices(ts, t)
     hs = [holding_at(ts, p, t, k) for k in range(len(t.prices))]
     bank = [p.v0 - dot(hs[0], xs[0])]
     for k in range(1, len(t.prices)):
@@ -606,13 +691,43 @@ def value(ts: TrajectorySet, p: Portfolio, s, k: int) -> Fraction:
         raise MarketError(f"stage {k} out of range for {t.id!r}")
     bank = reconstruct_bank_component(ts, p, t)
     h = holding_at(ts, p, t, k)
-    return bank[k] + dot(h, _relative(t, ts.numeraire)[k])
+    return bank[k] + dot(h, ts.tree.x(_path(ts, t)[k]))
 
 
 def terminal_gain(ts: TrajectorySet, p: Portfolio, s) -> Fraction:
     """Gains at the liquidation stage min(N, horizon); constant afterwards."""
     t = _trajectory(ts, s)
     return gains(ts, p, t, _stop(p, t))
+
+
+def _terminal_gains(ts: TrajectorySet, p: Portfolio) -> list:
+    """(id, terminal gain) of every trajectory, from one walk down the tree.
+
+    The gain at a node is its parent's plus the parent's holding times the
+    step in relative prices. Every stage before a trajectory's stop holds
+    the node's own holding, so the gain at a node is the same on every
+    trajectory that reaches it before stopping, and is computed once.
+    """
+    tree = ts.tree
+    gain = {}
+    held = {}
+    out = []
+    for t, path in zip(ts.trajectories, tree.paths):
+        g = _ZERO
+        for k in range(_stop(p, t)):
+            v = path[k + 1]
+            known = gain.get(v)
+            if known is None:
+                u = path[k]
+                h = held.get(u)
+                if h is None:
+                    h = held[u] = p.holdings.get(tree.key(u))
+                    if h is None:
+                        raise MarketError(f"holdings missing at node ({t.id!r}, {k})")
+                known = gain[v] = g + dot(h, vsub(tree.x(v), tree.x(u)))
+            g = known
+        out.append((t.id, g))
+    return out
 
 
 @dataclass(frozen=True)
@@ -645,6 +760,47 @@ def as_explicit(ts: TrajectorySet, p: Portfolio) -> ExplicitPortfolio:
     return ExplicitPortfolio(bank, holdings, dict(p.liquidation))
 
 
+def _self_financing(ts: TrajectorySet, p: Portfolio, held: dict) -> bool:
+    # value == v0 + gains along every trajectory, evaluated once per state:
+    # a node reached while holding, or the node where the position is
+    # liquidated. Either fixes every holding up to that stage, so the
+    # trajectories sharing it share every operand. Past the stop nothing is
+    # held on either side of a stage: bank and gains carry over unchanged
+    # and each later comparison repeats the one made at the stop.
+    tree = ts.tree
+    zero = zero_vec(ts.dim)
+    done = {}  # (node, holding there) -> (bank, accumulated gains, holding)
+    for t, path in zip(ts.trajectories, tree.paths):
+        stop = _stop(p, t)
+        prev = None
+        for k in range(min(stop + 1, len(t.prices))):
+            v = path[k]
+            state = (v, k < stop)
+            cur = done.get(state)
+            if cur is None:
+                h = held[v] if k < stop else zero
+                x = tree.x(v)
+                if prev is None:
+                    # value at stage 0 is v0 by the bank definition
+                    cur = (p.v0 - dot(h, x), _ZERO, h)
+                else:
+                    bank, total, hp = prev
+                    total += dot(hp, vsub(x, tree.x(path[k - 1])))
+                    if h is zero:
+                        # liquidation turns the position into bank
+                        bank += dot(hp, x)
+                        worth = bank
+                    else:
+                        bank -= dot(vsub(h, hp), x)
+                        worth = bank + dot(h, x)
+                    if worth != p.v0 + total:
+                        return False
+                    cur = (bank, total, h)
+                done[state] = cur
+            prev = cur
+    return True
+
+
 def check_self_financing(ts: TrajectorySet, p) -> bool:
     """True iff value equals v0 + gains at every stage of every trajectory.
 
@@ -653,21 +809,8 @@ def check_self_financing(ts: TrajectorySet, p) -> bool:
     initial value across trajectories is part of the check.
     """
     if isinstance(p, Portfolio):
-        if validate_portfolio(ts, p):
-            return False
-        for t in ts.trajectories:
-            xs = _relative(t, ts.numeraire)
-            hs = [holding_at(ts, p, t, k) for k in range(len(t.prices))]
-            # value at stage 0 is v0 by the bank definition; carry bank and
-            # accumulated gains forward in one pass
-            bank = p.v0 - dot(hs[0], xs[0])
-            total = _ZERO
-            for k in range(1, len(t.prices)):
-                total += dot(hs[k - 1], vsub(xs[k], xs[k - 1]))
-                bank -= dot(vsub(hs[k], hs[k - 1]), xs[k])
-                if bank + dot(hs[k], xs[k]) != p.v0 + total:
-                    return False
-        return True
+        report, held = _portfolio_report(ts, p)
+        return not report and _self_financing(ts, p, held)
     if not isinstance(p, ExplicitPortfolio):
         raise MarketError(f"not a portfolio: {type(p).__name__}")
     v0 = None
@@ -680,7 +823,7 @@ def check_self_financing(ts: TrajectorySet, p) -> bool:
         stages = min(len(bank), len(hs), len(t.prices))
         if stages < min(n, t.horizon) + 1:
             return False
-        xs = _relative(t, ts.numeraire)
+        xs = _relative_prices(ts, t)
         start = bank[0] + dot(hs[0], xs[0])
         if v0 is None:
             v0 = start
@@ -724,8 +867,7 @@ def find_arbitrage(ts: TrajectorySet):
             continue
         xi = verdict.separation.h
         portfolio = restricted_portfolio(ts, node, xi, 0)
-        gains_list = tuple((t.id, terminal_gain(ts, portfolio, t))
-                           for t in ts.trajectories)
+        gains_list = tuple(_terminal_gains(ts, portfolio))
         if any(g < 0 for _, g in gains_list):
             raise MarketError("internal: witness portfolio lost money")
         strict = next((tid for tid, g in gains_list if g > 0), None)
@@ -781,7 +923,7 @@ def portfolio_audit(ts: TrajectorySet, portfolios, labels=None,
                               f"{type(p).__name__}")
         if not check_self_financing(ts, p):
             raise MarketError(f"portfolio {label!r} is not self-financing")
-        per = [(t.id, terminal_gain(ts, p, t)) for t in ts.trajectories]
+        per = _terminal_gains(ts, p)
         min_id, min_gain = min(per, key=lambda e: (e[1], e[0]))
         max_gain = max(g for _, g in per)
         entries.append(PortfolioAudit(
@@ -803,7 +945,7 @@ def epsilon_witness(ts: TrajectorySet, p: Portfolio, eps) -> str:
         raise MarketError(f"epsilon must be positive, got {eps}")
     if not check_self_financing(ts, p):
         raise MarketError("portfolio is not self-financing")
-    per = [(t.id, terminal_gain(ts, p, t)) for t in ts.trajectories]
+    per = _terminal_gains(ts, p)
     min_id, min_gain = min(per, key=lambda e: (e[1], e[0]))
     if min_gain >= eps:
         raise MarketError(

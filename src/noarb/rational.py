@@ -11,6 +11,7 @@ and market layers. There is deliberately no floating-point path anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 Vec = "tuple[Fraction, ...]"
@@ -36,9 +37,24 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+class DigitLimitError(ValueError):
+    """A rational too long for Python's int-to-text conversion."""
+
+
 def format_rational(value) -> str:
-    """Canonical lowest-terms string form: "p/q", or "p" for integers."""
-    return str(as_fraction(value))
+    """Canonical lowest-terms string form: "p/q", or "p" for integers.
+
+    Python refuses to convert integers of more than
+    sys.get_int_max_str_digits() digits to text; such a rational raises
+    DigitLimitError.
+    """
+    q = as_fraction(value)
+    try:
+        return str(q)
+    except ValueError:
+        raise DigitLimitError(
+            f"a rational has more than {sys.get_int_max_str_digits()} digits, "
+            f"Python's limit for writing integers as text") from None
 
 
 def as_fraction(value) -> Fraction:

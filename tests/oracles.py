@@ -197,3 +197,114 @@ def random_fraction(rng, num_bound=100, den_bound=100):
 
 def random_point(rng, dim, num_bound=100, den_bound=100):
     return tuple(random_fraction(rng, num_bound, den_bound) for _ in range(dim))
+
+
+def stopping_time_violations(trajectories):
+    """(code, id, stage, message) of every stopping-time clash, pairwise.
+
+    The definition itself: two trajectories agreeing in prices and tags
+    through the shorter of their horizons must have equal horizons. Pairs
+    are visited in input order and the later trajectory is the one named.
+    """
+    out = []
+    for i, a in enumerate(trajectories):
+        for b in trajectories[i + 1:]:
+            m = min(a.horizon, b.horizon)
+            if (a.prices[:m + 1] == b.prices[:m + 1]
+                    and a.tags[:m + 1] == b.tags[:m + 1]
+                    and a.horizon != b.horizon):
+                out.append(("stopping-time", b.id, m,
+                            f"agrees with {a.id} through stage {m} but horizons "
+                            f"{b.horizon} != {a.horizon}"))
+    return out
+
+
+def _relative(point, nu):
+    return tuple(Fraction(c) / point[nu] for j, c in enumerate(point) if j != nu)
+
+
+def _prefix(t, k):
+    return (t.prices[:k + 1], t.tags[:k + 1])
+
+
+def _node_portfolio_is_valid(ts, p):
+    dim = ts.dim
+    for t in ts.trajectories:
+        n = p.liquidation.get(t.id)
+        if not isinstance(n, int) or n < 0:
+            return False
+        if any(_prefix(t, k) not in p.holdings for k in range(min(n, t.horizon))):
+            return False
+    for key, h in p.holdings.items():
+        if len(h) != dim:
+            return False
+        if all(c == 0 for c in h):
+            continue
+        k = len(key[0]) - 1
+        for t in ts.trajectories:
+            if k < len(t.prices) and _prefix(t, k) == key and t.horizon > k:
+                n = p.liquidation[t.id]
+                if n <= k:
+                    return False
+    return True
+
+
+def _node_holdings(ts, p, t):
+    """Effective holding per stored stage of t: zero from min(N, horizon)."""
+    stop = min(p.liquidation[t.id], t.horizon)
+    zero = (_ZERO,) * ts.dim
+    return [p.holdings[_prefix(t, k)] if k < stop else zero
+            for k in range(len(t.prices))]
+
+
+def self_financing_by_trajectory(ts, p):
+    """The self-financing check walked trajectory by trajectory, stage by stage.
+
+    Node-keyed portfolios (holdings keyed by prefix, bank implied) and
+    explicit ones (a stored bank and holding list per trajectory) alike.
+    """
+    explicit = hasattr(p, "bank")
+    if not explicit and not _node_portfolio_is_valid(ts, p):
+        return False
+    v0 = None if explicit else p.v0
+    for t in ts.trajectories:
+        xs = [_relative(pt, ts.numeraire) for pt in t.prices]
+        if explicit:
+            bank, hs, n = p.bank.get(t.id), p.holdings.get(t.id), p.liquidation.get(t.id)
+            if bank is None or hs is None or n is None:
+                return False
+            stages = min(len(bank), len(hs), len(t.prices))
+            if stages < min(n, t.horizon) + 1:
+                return False
+            start = bank[0] + _dot(hs[0], xs[0])
+            if v0 is None:
+                v0 = start
+            elif start != v0:
+                return False
+            if any(c != 0 for k in range(min(n, t.horizon), stages) for c in hs[k]):
+                return False
+        else:
+            hs = _node_holdings(ts, p, t)
+            stages = len(t.prices)
+            bank = [p.v0 - _dot(hs[0], xs[0])]
+            for k in range(1, stages):
+                bank.append(bank[k - 1] - _dot([a - b for a, b in zip(hs[k], hs[k - 1])],
+                                               xs[k]))
+        total = _ZERO
+        for k in range(1, stages):
+            total += _dot(hs[k - 1], [a - b for a, b in zip(xs[k], xs[k - 1])])
+            if bank[k] + _dot(hs[k], xs[k]) != v0 + total:
+                return False
+    return True
+
+
+def terminal_gains_by_trajectory(ts, p):
+    """(id, sum of H_k . (X_{k+1} - X_k) for k < min(N, horizon)) per trajectory."""
+    out = []
+    for t in ts.trajectories:
+        xs = [_relative(pt, ts.numeraire) for pt in t.prices]
+        hs = _node_holdings(ts, p, t)
+        stop = min(p.liquidation[t.id], t.horizon)
+        out.append((t.id, sum((_dot(hs[k], [a - b for a, b in zip(xs[k + 1], xs[k])])
+                               for k in range(stop)), _ZERO)))
+    return out

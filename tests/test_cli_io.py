@@ -23,7 +23,7 @@ from noarb.io_json import (
 )
 from noarb.market import MarketError, Trajectory, TrajectorySet, classify_market
 from noarb.parity import build_parity_market, demo_spec, parity_swap_nas
-from noarb.symmetry import SampledMultiplier, numeraire_swap
+from noarb.symmetry import FractionalTransform, SampledMultiplier, numeraire_swap
 
 F = Fraction
 
@@ -212,6 +212,54 @@ def test_cli_transform_rank_warning(tmp_path, capsys):
                      "--report", str(report)]) == 0
     assert "warning" in capsys.readouterr().out
     assert json.loads(report.read_text())["rank_warning"] is True
+
+
+def test_cli_transform_rank_warning_tracks_width(tmp_path, capsys):
+    deficient = {1: ((1, 0), (2, 0)),
+                 2: ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+                 3: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0))}
+    for dim, rows in deficient.items():
+        m = tmp_path / f"m{dim}.json"
+        m.write_text(serialize_market(generate_market(GeneratorParams(2, 2, dim, seed=dim))))
+        for name, t, warns in (
+                ("swap", numeraire_swap(dim, 0, 1), False),
+                ("deficient", FractionalTransform(rows, 0, 0), True)):
+            path = tmp_path / f"{name}{dim}.json"
+            path.write_text(serialize_transform(t))
+            report = tmp_path / "r.json"
+            assert _run_cli(["transform", str(m), "--transform", str(path),
+                             "--report", str(report)]) == 0
+            assert ("warning" in capsys.readouterr().out) is warns
+            doc = json.loads(report.read_text())
+            assert doc["image_rank"] == dim + 1 - warns
+            assert doc["rank_warning"] is warns
+
+
+def test_cli_rational_past_digit_limit_is_bad_input(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(serialize_market(generate_market(GeneratorParams(4, 3, 2, seed=1))))
+    t = tmp_path / "t.json"
+    t.write_text(serialize_transform(FractionalTransform(
+        ((9 * 10**4299, 0, 0), (0, 1, 0), (0, 0, 1)), 0, 0)))
+    image = tmp_path / "image.json"
+    assert _run_cli(["transform", str(m), "--transform", str(t),
+                     "--output", str(image)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the market document")
+    assert str(image) in err and "digits" in err
+    assert not image.exists()
+
+    # 4300-digit prices parse, but their increments need twice the digits
+    q, s = 10**4299 + 1, 10**4299 + 3
+    big = tmp_path / "big.json"
+    big.write_text(serialize_market(TrajectorySet.build(1, 0, [
+        Trajectory("up", ((q, 1), (s, 2)), ("0", "1"), 1),
+        Trajectory("dn", ((q, 1), (s, 0)), ("0", "1"), 1)])))
+    report = tmp_path / "r.json"
+    assert _run_cli(["check", str(big), "--local-arbitrage-free",
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write the report {report}")
+    assert not report.exists()
 
 
 def test_cli_parity_demo(tmp_path, capsys):
