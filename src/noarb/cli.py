@@ -150,14 +150,17 @@ def cmd_transform(args, out) -> int:
     doc["image_rank"] = rank
     doc["rank_warning"] = rank < t.src_width
     try:
-        image = apply_transform(t, ts)
+        if args.verify:
+            report = verify_symmetry_on_market(t, ts)
+            image = report.transformed
+        else:
+            image = apply_transform(t, ts)
     except SymmetryError as e:
         out.write(f"transform failed: {e}\n")
         return FAIL
     if args.output:
         _write_market(image, args.output, out)
     if args.verify:
-        report = verify_symmetry_on_market(t, ts)
         doc["verified"] = report.ok
         doc["symmetry"] = io_json.symmetry_report_json(report)
         _emit_report(doc, args, out)

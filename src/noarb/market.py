@@ -28,10 +28,14 @@ one-step increment set Delta = {X(S_{k+1}) - X(S_k)}:
     arbitrage-free     iff 0 in ri(co(Delta)),
     0-neutral          iff 0 in co(Delta),
 
-and each verdict carries exact certificates. Classification is computed
-redundantly on the increment set at 0 and on the reachable relative prices
-at X(S_k); the two routes must agree and disagreement is reported as an
-internal error rather than silently resolved.
+and each verdict carries exact certificates. One relative-interior LP at
+the origin settles an arbitrage-free node; only otherwise does the hull LP
+decide between 0-neutral (weak witness from the dispersion LP) and
+arbitrage (strict separator). Every certificate is re-validated by
+certcheck, independently of the LP solver, before it leaves
+classify_node. Verdicts are kept on the node tree, so each node of a
+market is classified once however many callers ask; validation results
+are kept on the market the same way.
 
 Portfolios are node-keyed holding vectors plus a per-trajectory liquidation
 stage and an initial relative value; the bank (numeraire) component is not
@@ -45,8 +49,6 @@ the step in relative prices.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,7 +56,6 @@ from functools import cached_property
 from .certcheck import check_hull_certificate, check_separation
 from .geometry import (
     PointSet,
-    hull_membership,
     is_disperse,
     is_zero_neutral_set,
     relative_interior_membership,
@@ -134,6 +135,11 @@ class TrajectorySet:
         """The prefix classes of every stored stage, built on first use."""
         return NodeTree(self.trajectories, self.numeraire)
 
+    @cached_property
+    def violations(self) -> tuple:
+        """validate's result, computed on first use."""
+        return validate(self)
+
 
 class NodeTree:
     """Prefix classes of a trajectory set, numbered by first appearance.
@@ -174,6 +180,7 @@ class NodeTree:
         self.paths = tuple(paths)
         self._keys = [None] * len(self.stage)
         self._x = [None] * len(self.stage)
+        self.verdicts = {}  # node -> NodeVerdict, filled by node_verdict
 
     def key(self, v: int) -> tuple:
         """The node's stage-0..k prices and tags, the value node_key gives."""
@@ -307,7 +314,7 @@ def validate(ts: TrajectorySet) -> tuple:
 
 
 def require_valid(ts: TrajectorySet):
-    report = validate(ts)
+    report = ts.violations
     if report:
         raise MarketError("invalid trajectory set: " + "; ".join(str(v) for v in report))
 
@@ -415,38 +422,53 @@ class NodeVerdict:
     separation: object
 
 
+def _certified(ok: bool, what: str, node: Node):
+    if not ok:
+        raise MarketError(
+            f"internal: {what} fails its certificate check at "
+            f"({node.trajectory_id}, {node.stage})")
+
+
 def classify_node(ts: TrajectorySet, node: Node) -> NodeVerdict:
+    """Certified verdict of one node from its increment set Delta.
+
+    The relative-interior LP at the origin settles arbitrage-free nodes
+    alone. Otherwise the hull LP decides: 0 in co(Delta) makes the node
+    0-neutral only, with the dispersion LP's weak witness; 0 outside gives
+    an arbitrage node with a strict separator. Each certificate passes
+    certcheck before it is returned, and a failure raises MarketError.
+    """
     inc = increment_set(ts, node)
     origin = zero_vec(ts.dim)
     ri_cert = relative_interior_membership(inc, origin)
-
-    # second route: reachable relative prices tested at the current price
-    here = ts.tree.x(_node_id(ts, node))
-    reach = PointSet(ts.dim, tuple(
-        perspective(p, ts.numeraire) for p in reachable_prices(ts, node)))
-    if (relative_interior_membership(reach, here) is not None) != (ri_cert is not None):
-        raise MarketError(
-            f"internal: increment and reachable-price classifications disagree "
-            f"at ({node.trajectory_id}, {node.stage})")
-
     if ri_cert is not None:
+        _certified(check_hull_certificate(inc, origin, ri_cert, require_interior=True),
+                   "the relative-interior membership", node)
         return NodeVerdict(ARBITRAGE_FREE, ri_cert, None)
 
-    hull_cert = hull_membership(inc, origin)
-    if (hull_membership(reach, here) is not None) != (hull_cert is not None):
-        raise MarketError(
-            f"internal: increment and reachable-price hull tests disagree "
-            f"at ({node.trajectory_id}, {node.stage})")
-    if hull_cert is not None:
+    neutral = is_zero_neutral_set(inc)
+    if neutral.zero_neutral:
+        hull_cert = neutral.certificate
+        _certified(check_hull_certificate(inc, origin, hull_cert),
+                   "the hull membership", node)
         witness = is_disperse(inc).witness
-        if witness is None or not check_separation(inc, witness):
-            raise MarketError("internal: missing weak witness at a 0-neutral node")
+        _certified(witness is not None and check_separation(inc, witness),
+                   "the weak witness", node)
         return NodeVerdict(ZERO_NEUTRAL_ONLY, hull_cert, witness)
 
-    separator = is_zero_neutral_set(inc).separator
-    if separator is None or not check_separation(inc, separator):
-        raise MarketError("internal: missing separator at an arbitrage node")
+    separator = neutral.separator
+    _certified(check_separation(inc, separator), "the strict separator", node)
     return NodeVerdict(ARBITRAGE_NODE, None, separator)
+
+
+def node_verdict(ts: TrajectorySet, node: Node) -> NodeVerdict:
+    """The node's verdict from the market's store, classified on first use."""
+    verdicts = ts.tree.verdicts
+    v = _node_id(ts, node)
+    verdict = verdicts.get(v)
+    if verdict is None:
+        verdict = verdicts[v] = classify_node(ts, node)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -466,31 +488,11 @@ class MarketClassification:
         return self.status in (LOCALLY_ARBITRAGE_FREE, LOCALLY_ZERO_NEUTRAL)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NOARB_THREADS", "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise MarketError(f"NOARB_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise MarketError(f"NOARB_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def classify_market(ts: TrajectorySet) -> MarketClassification:
-    """Classify every node; the verdict order follows enumerate_nodes.
-
-    NOARB_THREADS > 1 classifies nodes in a thread pool; results are
-    collected in enumeration order so the outcome is identical either way.
-    """
+    """Classify every node; the verdict order follows enumerate_nodes."""
     require_valid(ts)
     nodes = enumerate_nodes(ts)
-    workers = _thread_count()
-    if workers > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = tuple(pool.map(lambda n: classify_node(ts, n), nodes))
-    else:
-        verdicts = tuple(classify_node(ts, n) for n in nodes)
+    verdicts = tuple(node_verdict(ts, n) for n in nodes)
     arb = tuple(n for n, v in zip(nodes, verdicts) if v.status == ARBITRAGE_NODE)
     if arb:
         status = HAS_ARBITRAGE_NODES
@@ -862,7 +864,7 @@ def find_arbitrage(ts: TrajectorySet):
     """
     require_valid(ts)
     for node in enumerate_nodes(ts):
-        verdict = classify_node(ts, node)
+        verdict = node_verdict(ts, node)
         if verdict.status == ARBITRAGE_FREE:
             continue
         xi = verdict.separation.h

@@ -40,8 +40,8 @@ from .market import (
     ARBITRAGE_NODE,
     Trajectory,
     TrajectorySet,
-    classify_node,
     enumerate_nodes,
+    node_verdict,
     perspective,
     require_valid,
 )
@@ -250,7 +250,7 @@ def verify_parity(ts: TrajectorySet) -> ParityReport:
                                f"{sorted(strikes)}"))
     strike = ts.trajectories[0].prices[ts.trajectories[0].horizon][BOND]
 
-    verdicts = tuple((node, classify_node(ts, node)) for node in enumerate_nodes(ts))
+    verdicts = tuple((node, node_verdict(ts, node)) for node in enumerate_nodes(ts))
     neutral = all(v.status != ARBITRAGE_NODE for _, v in verdicts)
 
     pi_bad = []

@@ -35,10 +35,9 @@ from .market import (
     Node,
     Trajectory,
     TrajectorySet,
-    classify_node,
     enumerate_nodes,
+    node_verdict,
     require_valid,
-    validate,
 )
 from .rational import as_fraction, dot, vec, vscale
 
@@ -319,7 +318,7 @@ def apply_transform(t: FractionalTransform, ts: TrajectorySet) -> TrajectorySet:
         out.append(Trajectory(traj.id, tuple(prices), traj.tags, traj.horizon))
     image = TrajectorySet(t.dst_width - 1, t.dst_numeraire,
                           out[0].prices[0], ts.w0, tuple(out))
-    report = validate(image)
+    report = image.violations
     if report:
         raise SymmetryError(
             "transformed market violates invariants (transform not injective "
@@ -347,14 +346,15 @@ def verify_symmetry_on_market(t: FractionalTransform, ts: TrajectorySet) -> Symm
 
     arbitrage-free must map to arbitrage-free and 0-neutral to 0-neutral;
     a verdict is allowed to improve (the theorems state implications, not
-    equivalences).
+    equivalences). Verdicts come from each market's verdict store, so nodes
+    of ts classified earlier are not classified again.
     """
     image = apply_transform(t, ts)
     comparisons = []
     all_ok = True
     for node in enumerate_nodes(ts):
-        before = classify_node(ts, node)
-        after = classify_node(image, Node(node.trajectory_id, node.stage))
+        before = node_verdict(ts, node)
+        after = node_verdict(image, Node(node.trajectory_id, node.stage))
         ok = _LEVEL[after.status] >= _LEVEL[before.status]
         all_ok = all_ok and ok
         comparisons.append(NodeComparison(node, before, after, ok))

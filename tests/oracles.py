@@ -4,6 +4,11 @@ Deliberately shares no code with the package under test: it carries its own
 Gaussian elimination and decides membership by facet enumeration and by
 simplex (barycentric) search instead of linear programming. Only fit for
 small instances; used to cross-check the fast kernel on random inputs.
+
+The one exception is `two_route_classify_node`, a replay of the node
+classifier as it once was: every LP solved on the increment set and again
+on the reachable prices. It calls the package's geometry, because the
+verdicts it is compared with must match certificate for certificate.
 """
 
 from __future__ import annotations
@@ -308,3 +313,44 @@ def terminal_gains_by_trajectory(ts, p):
         out.append((t.id, sum((_dot(hs[k], [a - b for a, b in zip(xs[k + 1], xs[k])])
                                for k in range(stop)), _ZERO)))
     return out
+
+
+def two_route_classify_node(ts, node):
+    """NodeVerdict of the two-route classifier, for equality checks.
+
+    The relative-interior LP and the hull LP run on the increment set at the
+    origin and again on the reachable relative prices at the node's own
+    relative price; the routes must agree. The hull test is its own LP, and
+    the strict separator comes from is_zero_neutral_set after it fails.
+    """
+    from noarb import market as mkt
+    from noarb.certcheck import check_separation
+    from noarb.geometry import (
+        PointSet,
+        hull_membership,
+        is_disperse,
+        is_zero_neutral_set,
+        relative_interior_membership,
+    )
+
+    inc = mkt.increment_set(ts, node)
+    origin = (_ZERO,) * ts.dim
+    here = _relative(ts.trajectory(node.trajectory_id).prices[node.stage], ts.numeraire)
+    reach = PointSet(ts.dim, tuple(
+        _relative(p, ts.numeraire) for p in mkt.reachable_prices(ts, node)))
+
+    ri_cert = relative_interior_membership(inc, origin)
+    if (relative_interior_membership(reach, here) is None) != (ri_cert is None):
+        raise AssertionError(f"relative-interior routes disagree at {node}")
+    if ri_cert is not None:
+        return mkt.NodeVerdict(mkt.ARBITRAGE_FREE, ri_cert, None)
+    hull_cert = hull_membership(inc, origin)
+    if (hull_membership(reach, here) is None) != (hull_cert is None):
+        raise AssertionError(f"hull routes disagree at {node}")
+    if hull_cert is not None:
+        witness = is_disperse(inc).witness
+        assert witness is not None and check_separation(inc, witness)
+        return mkt.NodeVerdict(mkt.ZERO_NEUTRAL_ONLY, hull_cert, witness)
+    separator = is_zero_neutral_set(inc).separator
+    assert separator is not None and check_separation(inc, separator)
+    return mkt.NodeVerdict(mkt.ARBITRAGE_NODE, None, separator)

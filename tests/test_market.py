@@ -266,19 +266,6 @@ def test_classify_market_rejects_invalid():
         classify_market(ts)
 
 
-def test_classify_market_thread_count(monkeypatch):
-    ts = _binomial(3)
-    base = classify_market(ts)
-    monkeypatch.setenv("NOARB_THREADS", "4")
-    assert classify_market(ts) == base
-    monkeypatch.setenv("NOARB_THREADS", "zero")
-    with pytest.raises(MarketError):
-        classify_market(ts)
-    monkeypatch.setenv("NOARB_THREADS", "0")
-    with pytest.raises(MarketError):
-        classify_market(ts)
-
-
 def test_enumerate_nodes_stage_major():
     ts = _binomial(2)
     nodes = enumerate_nodes(ts)
