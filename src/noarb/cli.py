@@ -17,7 +17,8 @@ parity (SPEC | --demo)
     identity, then runs the call-put swap symmetry end to end.
 generate --depth D --branching B --dim N --seed S [--regime R] ...
     emits a deterministic market document and re-classifies it to confirm
-    the regime's verdict before writing.
+    the regime's verdict before writing; more than 65536 (B**D)
+    trajectories are refused as bad input before anything is built.
 """
 
 from __future__ import annotations

@@ -35,6 +35,22 @@ ZERO_NEUTRAL_REGIME = "zero-neutral-only"
 PLANT_REGIME = "plant-arbitrage"
 REGIMES = (ARBITRAGE_FREE_REGIME, ZERO_NEUTRAL_REGIME, PLANT_REGIME)
 
+# a generated market has branching**depth trajectories; past this many,
+# building and classifying it would outlast any caller's memory or patience
+MAX_TRAJECTORIES = 65536
+
+
+def trajectory_count_exceeds(depth: int, branching: int) -> bool:
+    """Whether branching**depth > MAX_TRAJECTORIES, without a huge power."""
+    if branching == 1:
+        return False
+    count = 1
+    for _ in range(depth):
+        count *= branching
+        if count > MAX_TRAJECTORIES:
+            return True
+    return False
+
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -52,6 +68,10 @@ class GeneratorParams:
         object.__setattr__(self, "high", as_fraction(self.high))
         if self.depth < 1 or self.branching < 1 or self.dim < 1:
             raise MarketError("depth, branching and dim must all be at least 1")
+        if trajectory_count_exceeds(self.depth, self.branching):
+            raise MarketError(
+                f"depth {self.depth} with branching {self.branching} gives more "
+                f"than {MAX_TRAJECTORIES} trajectories")
         if self.regime not in REGIMES:
             raise MarketError(f"unknown regime {self.regime!r}")
         if self.regime == ZERO_NEUTRAL_REGIME and self.branching < 2:

@@ -5,6 +5,11 @@ Gaussian elimination and decides membership by facet enumeration and by
 simplex (barycentric) search instead of linear programming. Only fit for
 small instances; used to cross-check the fast kernel on random inputs.
 
+`fraction_simplex` is the reference for `noarb.simplex.solve`: the same
+two-phase method and pivot rule on a tableau of `Fraction` entries, so the
+two must return equal results, down to the pivot sequence's choice of
+optimal basic solution.
+
 The one exception is `two_route_classify_node`, a replay of the node
 classifier as it once was: every LP solved on the increment set and again
 on the reachable prices. It calls the package's geometry, because the
@@ -202,6 +207,128 @@ def random_fraction(rng, num_bound=100, den_bound=100):
 
 def random_point(rng, dim, num_bound=100, den_bound=100):
     return tuple(random_fraction(rng, num_bound, den_bound) for _ in range(dim))
+
+
+def _fraction_pivot(tableau, red, basis, r, c):
+    row = tableau[r]
+    piv = row[c]
+    if piv != _ONE:
+        inv = _ONE / piv
+        row = [x * inv for x in row]
+        tableau[r] = row
+    # only the pivot row's nonzero columns change anything; rational
+    # multiply-subtract is costly enough that skipping zeros pays off
+    nz = [j for j, b in enumerate(row) if b != 0]
+    for i, other in enumerate(tableau):
+        if i == r:
+            continue
+        f = other[c]
+        if f != 0:
+            other = other[:]
+            for j in nz:
+                other[j] -= f * row[j]
+            tableau[i] = other
+    f = red[c]
+    if f != 0:
+        for j in nz:
+            red[j] -= f * row[j]
+    basis[r] = c
+
+
+def _fraction_optimize(tableau, red, basis, allowed):
+    """Run simplex iterations until optimal (True) or unbounded (False)."""
+    while True:
+        enter = -1
+        for j in range(allowed):
+            if red[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return True
+        leave = -1
+        best_num = best_den = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                rhs = row[-1]
+                if leave < 0:
+                    leave, best_num, best_den = i, rhs, a
+                else:
+                    lhs = rhs * best_den
+                    rhsc = best_num * a
+                    if lhs < rhsc or (lhs == rhsc and basis[i] < basis[leave]):
+                        leave, best_num, best_den = i, rhs, a
+        if leave < 0:
+            return False
+        _fraction_pivot(tableau, red, basis, leave, enter)
+
+
+def fraction_simplex(objective, rows, rhs):
+    """(status, solution, value) of max c.z s.t. A z = b, z >= 0.
+
+    Two-phase tableau method over `Fraction` entries with Bland's rule:
+    entering is the smallest column with positive reduced cost, leaving the
+    row minimizing rhs/pivot over positive pivots, ties to the smallest
+    basis index. Phase 1 maximizes minus the sum of one artificial per row;
+    leftover basic artificials are pivoted out and rows that keep one are
+    dropped as redundant. Statuses are "optimal", "infeasible" and
+    "unbounded"; solution and value are None unless optimal.
+    """
+    m = len(rows)
+    n = len(objective)
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match row count")
+    objective = [Fraction(x) for x in objective]
+    width = n + m + 1
+    tableau = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError("row length does not match objective length")
+        b = Fraction(rhs[i])
+        if b < 0:
+            ext = [-Fraction(x) for x in row]
+            b = -b
+        else:
+            ext = [Fraction(x) for x in row]
+        ext.extend([_ZERO] * m)
+        ext[n + i] = _ONE
+        ext.append(b)
+        tableau.append(ext)
+    basis = list(range(n, n + m))
+
+    # phase 1: maximize minus the sum of artificials; with the artificial
+    # basis the reduced cost of column j is the column sum (zero on the
+    # artificial columns themselves)
+    red = [sum((tableau[i][j] for i in range(m)), _ZERO) for j in range(width)]
+    for i in range(m):
+        red[n + i] = _ZERO
+    _fraction_optimize(tableau, red, basis, n + m)
+    if red[-1] != 0:
+        return "infeasible", None, None
+
+    # pivot leftover artificials out; rows with no real pivot are redundant
+    for i in range(m):
+        if basis[i] >= n:
+            c = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if c is not None:
+                _fraction_pivot(tableau, red, basis, i, c)
+    keep = [i for i in range(len(tableau)) if basis[i] < n]
+    tableau = [tableau[i] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # phase 2: real objective, entering restricted to the real variables
+    red = []
+    for j in range(width):
+        s = objective[j] if j < n else _ZERO
+        for i, row in enumerate(tableau):
+            s -= objective[basis[i]] * row[j]
+        red.append(s)
+    if not _fraction_optimize(tableau, red, basis, n):
+        return "unbounded", None, None
+    solution = [_ZERO] * n
+    for i, row in enumerate(tableau):
+        solution[basis[i]] = row[-1]
+    return "optimal", solution, -red[-1]
 
 
 def stopping_time_violations(trajectories):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,15 @@ def test_cli_generate_deterministic(tmp_path, capsys):
     assert _run_cli(["generate", "--depth", "0", "--branching", "2",
                      "--dim", "1", "--seed", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_generate_size_guard(capsys):
+    start = time.perf_counter()
+    assert _run_cli(["generate", "--depth", "1000000000", "--branching", "4",
+                     "--dim", "1", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "depth 1000000000 with branching 4 gives more than 65536 trajectories" in err
 
 
 def test_cli_generate_regimes(tmp_path, capsys):

@@ -7,12 +7,14 @@ import pytest
 
 from noarb.generators import (
     ARBITRAGE_FREE_REGIME,
+    MAX_TRAJECTORIES,
     PLANT_REGIME,
     ZERO_NEUTRAL_REGIME,
     GeneratorParams,
     expected_status,
     generate_market,
     random_transform,
+    trajectory_count_exceeds,
 )
 from noarb.market import (
     ARBITRAGE_NODE,
@@ -44,6 +46,27 @@ def test_params_validation():
         GeneratorParams(2, 2, 1, 1, regime=PLANT_REGIME, plant_count=99)
     assert GeneratorParams(2, 2, 1, 1).node_count == 3
     assert GeneratorParams(3, 1, 1, 1).node_count == 3
+
+
+def test_trajectory_count_guard_boundary():
+    # 4**8 = 2**16 = 65536 trajectories are allowed, one more stage is not
+    assert MAX_TRAJECTORIES == 65536
+    assert not trajectory_count_exceeds(8, 4)
+    assert not trajectory_count_exceeds(16, 2)
+    assert not trajectory_count_exceeds(1, 65536)
+    assert trajectory_count_exceeds(9, 4)
+    assert trajectory_count_exceeds(17, 2)
+    assert trajectory_count_exceeds(1, 65537)
+    # a single branch is one trajectory at any depth; a huge depth stops
+    # the product as soon as it passes the limit
+    assert not trajectory_count_exceeds(10 ** 18, 1)
+    assert trajectory_count_exceeds(10 ** 18, 2)
+    # parameters are checked without building a market
+    assert GeneratorParams(8, 4, 1, 1).node_count == (4 ** 8 - 1) // 3
+    with pytest.raises(MarketError, match="depth 9 with branching 4 gives more than 65536"):
+        GeneratorParams(9, 4, 1, 1)
+    with pytest.raises(MarketError, match="depth 17 with branching 2"):
+        GeneratorParams(17, 2, 1, 1, regime=PLANT_REGIME)
 
 
 def test_seed_determinism():

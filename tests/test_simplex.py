@@ -3,10 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from noarb import simplex
-from noarb._simplex_py import INFEASIBLE, OPTIMAL, UNBOUNDED
+from noarb.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+
+from oracles import fraction_simplex
 
 F = Fraction
 
@@ -54,18 +54,14 @@ def test_unbounded():
 
 def test_negative_rhs_feasible():
     # -x - y = -2 is x + y = 2 after the sign flip
-    objective = [1, 0]
-    rows = [[-1, -1]]
-    rhs = [-2]
+    objective, rows, rhs = NEGATIVE_RHS
     status, sol, value = simplex.solve(objective, rows, rhs)
     _check_optimal(objective, rows, rhs, status, sol, value)
     assert value == 2
 
 
 def test_redundant_rows_are_dropped():
-    objective = [1, 1]
-    rows = [[1, 1], [2, 2], [1, 1]]
-    rhs = [1, 2, 1]
+    objective, rows, rhs = REDUNDANT_ROWS
     status, sol, value = simplex.solve(objective, rows, rhs)
     _check_optimal(objective, rows, rhs, status, sol, value)
     assert value == 1
@@ -91,16 +87,26 @@ def test_fractional_data():
     assert value == F(1, 3) * (F(3, 4) / F(2, 5))
 
 
-def test_beale_cycling_instance():
-    # Beale's degenerate example; cycles under naive pivoting, Bland's rule
-    # must terminate at optimum 1/20.
-    objective = [0, 0, 0, F(3, 4), -150, F(1, 50), -6]
-    rows = [
+# Beale's degenerate example; cycles under naive pivoting
+BEALE = (
+    [0, 0, 0, F(3, 4), -150, F(1, 50), -6],
+    [
         [1, 0, 0, F(1, 4), -60, F(-1, 25), 9],
         [0, 1, 0, F(1, 2), -90, F(-1, 50), 3],
         [0, 0, 1, 0, 0, 1, 0],
-    ]
-    rhs = [0, 0, 1]
+    ],
+    [0, 0, 1],
+)
+REDUNDANT_ROWS = ([1, 1], [[1, 1], [2, 2], [1, 1]], [1, 2, 1])
+NEGATIVE_RHS = ([1, 0], [[-1, -1]], [-2])
+# two optimal bases; a ratio-test tie, broken by the smaller basis index,
+# decides which one comes back
+RATIO_TIE = ([-1, 0, 0, 2], [[-1, -1, 0, 1], [1, 2, 2, 0]], [0, 1])
+
+
+def test_beale_cycling_instance():
+    # Bland's rule must terminate at optimum 1/20
+    objective, rows, rhs = BEALE
     status, sol, value = simplex.solve(objective, rows, rhs)
     _check_optimal(objective, rows, rhs, status, sol, value)
     assert value == F(1, 20)
@@ -118,18 +124,18 @@ def _random_lp(rng):
 
 
 def test_kernels_agree_bit_for_bit():
-    kernels = simplex.available_kernels()
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
     rng = random.Random(20240517)
+    corpus = [_random_lp(rng) for _ in range(300)]
+    corpus += [BEALE, REDUNDANT_ROWS, NEGATIVE_RHS, RATIO_TIE]
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for _ in range(300):
-        objective, rows, rhs = _random_lp(rng)
-        results = {name: k.solve(objective, rows, rhs) for name, k in kernels.items()}
-        first = results["python"]
-        statuses[first[0]] += 1
-        for name, res in results.items():
-            assert res == first, f"kernel {name} diverged on {objective} {rows} {rhs}"
+    for objective, rows, rhs in corpus:
+        got = simplex.solve(objective, rows, rhs)
+        want = fraction_simplex(objective, rows, rhs)
+        assert got == want, f"kernel diverged on {objective} {rows} {rhs}"
+        statuses[got[0]] += 1
+        if got[0] == OPTIMAL:
+            for x, y in zip(got[1] + [got[2]], want[1] + [want[2]]):
+                assert type(x) is type(y) is Fraction
     # the fuzz corpus must exercise every status
     assert all(v > 0 for v in statuses.values())
 
